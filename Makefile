@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchcheck benchjson chaos fuzz lint obs service profile verify clean
+.PHONY: all build vet fmt test race bench benchcheck benchjson chaos fuzz lint obs service profile verify clean
 
 all: build
 
@@ -12,6 +12,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every Go file in the tree, fixtures included, is gofmt'd.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -105,7 +109,7 @@ obs:
 	$(GO) run ./cmd/tracecheck "$$obsdir"/trace/figure9.json && \
 	test -s "$$obsdir"/trace/figure9-series.csv
 
-verify: build vet lint test race chaos fuzz benchcheck obs service
+verify: build vet fmt lint test race chaos fuzz benchcheck obs service
 
 clean:
 	rm -rf report

@@ -6,6 +6,7 @@
 # gate), the tridentlint determinism & layering suite (self-clean gate plus
 # a negative gate on seeded violations, DESIGN.md §8), a traced
 # experiment validated by tracecheck (observability gate, DESIGN.md §7),
+# a gofmt gate, a golden-digest check of the quick report's CSVs,
 # and the durable-service crash gate (DESIGN.md §9): kill -9 a running
 # sweep service mid-sweep, restart with -resume, and require the finished
 # report byte-identical to an uninterrupted run's. The crash gate doubles
@@ -18,6 +19,9 @@ set -eux
 
 go build ./...
 go vet ./...
+
+# Formatting gate: every Go file in the tree, fixtures included, is gofmt'd.
+test -z "$(gofmt -l .)"
 
 # Determinism & layering lint (tridentlint, DESIGN.md §8): type-resolved
 # wall-clock ban in the simulated world, math/rand confined to
@@ -70,8 +74,19 @@ go run ./cmd/benchjson
 # and a non-empty per-batch time series.
 obsdir=$(mktemp -d)
 svcdir=$(mktemp -d)
-trap 'rm -rf "$obsdir" "$svcdir"; kill -9 $svcpid 2>/dev/null || true' EXIT
+quickdir=$(mktemp -d)
+trap 'rm -rf "$obsdir" "$svcdir" "$quickdir"; kill -9 $svcpid 2>/dev/null || true' EXIT
 svcpid=""
+
+# Golden-output gate: every CSV of the quick report must match the sha256
+# recorded in testdata/quick-report.sha256, so a refactor's
+# "byte-identical" claim is checked mechanically (about 2 min on 2 cores).
+# Only a change meant to move results may rewrite the digests, and it must
+# say why.
+go run ./cmd/experiments -quick -out "$quickdir" >/dev/null 2>&1
+digests="$(pwd)/testdata/quick-report.sha256"
+(cd "$quickdir" && sha256sum -c --quiet "$digests")
+
 go run ./cmd/experiments -quick -only fig9 -trace -out "$obsdir" >/dev/null
 go run ./cmd/tracecheck "$obsdir"/trace/figure9.json
 test -s "$obsdir"/trace/figure9-series.csv

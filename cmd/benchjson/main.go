@@ -1,12 +1,13 @@
 // Command benchjson records the per-PR benchmark trajectory the ROADMAP
 // asks for: it runs BenchmarkFigure9 plus the translation microbenchmarks
-// (BenchmarkNextBatch, BenchmarkNextRuns, BenchmarkTranslateBatch,
-// BenchmarkTranslateRuns, BenchmarkProbeSweep, BenchmarkKernelReuse),
-// appends one {pr, bench, benchtime, ns_per_op, bytes_per_op,
-// allocs_per_op} record per bench to BENCH_trident.json, and exits 1 when
-// any bench regressed more than -tolerance (default 15%) in ns/op — or in
-// bytes/op, which catches allocation creep that a fast box hides — against
-// its last recorded entry from an earlier PR.
+// (BenchmarkNextRuns, BenchmarkTranslateRuns, BenchmarkProbeSweep,
+// BenchmarkKernelReuse), appends one {pr, bench, benchtime, ns_per_op,
+// bytes_per_op, allocs_per_op} record per bench to BENCH_trident.json, and
+// exits 1 when any bench regressed more than -tolerance (default 15%) in
+// ns/op — or in bytes/op, which catches allocation creep that a fast box
+// hides — against its last recorded entry from an earlier PR. Only measured
+// benches are gated, so records of benches since deleted stay in the file
+// as history.
 //
 // Each suite carries its own -benchtime: the seconds-long Figure 9 macro
 // benchmark runs 3 fixed iterations, while the microsecond-scale
@@ -71,7 +72,7 @@ var suites = []struct {
 	pkgs      []string
 }{
 	{"^BenchmarkFigure9$", "3x", []string{"."}},
-	{"^(BenchmarkNextBatch|BenchmarkNextRuns|BenchmarkTranslateBatch|BenchmarkTranslateRuns|BenchmarkProbeSweep|BenchmarkKernelReuse)$",
+	{"^(BenchmarkNextRuns|BenchmarkTranslateRuns|BenchmarkProbeSweep|BenchmarkKernelReuse)$",
 		"50ms",
 		[]string{"./internal/workload", "./internal/mmu", "./internal/tlb", "./internal/sim"}},
 }

@@ -29,8 +29,8 @@ var deterSpec = struct {
 }{
 	simRel: "internal/sim", resultType: "Result",
 	statsRel: "internal/stats", tableType: "Table",
-	runnerRel: "internal/runner",
-	memoFuncs: map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
+	runnerRel:   "internal/runner",
+	memoFuncs:   map[string]bool{"keyOf": true, "fingerprintKey": true, "Fingerprint": true},
 	serviceRel:  "internal/service",
 	journalType: "eventLog",
 	// ephemeral/state events deliberately carry wall-clock timestamps and

@@ -13,9 +13,9 @@ func Publish(dir, key string, data []byte) {
 	if err != nil {
 		return
 	}
-	defer f.Close() // deferred without capture
-	f.Write(data)   // bare call statement
-	f.Sync()        // bare call statement
+	defer f.Close()                 // deferred without capture
+	f.Write(data)                   // bare call statement
+	f.Sync()                        // bare call statement
 	_ = os.Rename(tmp, dir+"/"+key) // assigned to _
 }
 

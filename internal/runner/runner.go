@@ -522,8 +522,7 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *check
 // Config field fails both until it is either keyed or listed here.
 var MemoKeyExclusions = map[string]string{
 	"Obs":             "observability only: a recorder observes a run and never influences it, so configs differing only in Obs must share a cache slot",
-	"ScalarTranslate": "loop-shape only: the scalar and batched translation pipelines are byte-identical by construction (DESIGN.md §5b, enforced by TestBatchScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
-	"RunCoalesce":     "loop-shape only: the run-coalesced and per-reference pipelines are byte-identical by construction (DESIGN.md §5c, enforced by TestRunScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
+	"ScalarTranslate": "loop-shape only: the scalar oracle and the run-coalesced translation pipeline are byte-identical by construction (DESIGN.md §5c, enforced by TestRunScalarEquivalence), so configs differing only in this field compute the same Result and must share a cache slot",
 }
 
 // cacheKey is the canonical, comparable fingerprint of a normalized

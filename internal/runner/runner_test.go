@@ -361,12 +361,13 @@ func TestCheckpointCorruptFileIgnored(t *testing.T) {
 // silently alias distinct configs in the memo cache). Update keyOf, then
 // this count. Config.Obs and Config.ScalarTranslate are the deliberate
 // exclusions: a recorder only observes a run (sim never branches on it for
-// results), and the scalar/batched loops are byte-identical by construction
-// — so configs differing only in those fields must share a cache slot,
-// hence Config carries exactly two more fields than cacheKey.
+// results), and the scalar oracle and run-coalesced loops are
+// byte-identical by construction — so configs differing only in those
+// fields must share a cache slot, hence Config carries exactly two more
+// fields than cacheKey.
 func TestConfigFieldCountGuard(t *testing.T) {
 	const keyFields = 17
-	const excludedFields = 3 // Config.Obs, Config.ScalarTranslate, Config.RunCoalesce — not identity
+	const excludedFields = 2 // Config.Obs, Config.ScalarTranslate — not identity
 	if n := reflect.TypeOf(sim.Config{}).NumField(); n != keyFields+excludedFields {
 		t.Fatalf("sim.Config has %d fields, cacheKey covers %d (+%d excluded): extend runner.keyOf for the new field(s) or document the exclusion, then bump these constants", n, keyFields, excludedFields)
 	}

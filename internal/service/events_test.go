@@ -245,6 +245,45 @@ func TestEventStreamFollowsLiveSweep(t *testing.T) {
 	}
 }
 
+// TestEventStreamKeepsEventsAfterHeaderCommit pins the subscription window
+// deterministically: an ephemeral event emitted after the stream's headers
+// are committed but before its first write — when a client that has seen
+// the headers may already have started the sweep — must still be
+// delivered. The seam emits the running state event in exactly that
+// window, then seals the log so the handler drains and closes.
+func TestEventStreamKeepsEventsAfterHeaderCommit(t *testing.T) {
+	s := newService(t, Config{Parallelism: 1})
+	sw, err := s.Submit(tinyReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.streamOpened = func(id string) {
+		s.mu.Lock()
+		ev := s.sweeps[id].events
+		s.mu.Unlock()
+		ev.state(id, StateRunning, "", 1)
+		if err := ev.finish(); err != nil {
+			t.Error(err)
+		}
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/sweeps/" + sw.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := parseEvents(t, string(body))
+	if len(evs) != 2 || evs[0].Seq != nil || evs[0].State != StateRunning {
+		t.Fatalf("stream lost the event emitted after the header commit:\n%s", body)
+	}
+}
+
 // TestMetricsConcurrentScrape hammers /metrics from several goroutines while
 // a sweep runs — the race detector turns any unsynchronized collector into a
 // failure — then checks the settled counters account for the whole sweep.

@@ -226,11 +226,18 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	rc := http.NewResponseController(w)
+	// Take the stream cursor before the headers go out: a client that has
+	// seen them may start the sweep at once, and an ephemeral event (the
+	// running state) emitted before the cursor is taken would be skipped.
+	lines, cursor, finished, notify := ev.replay(after)
 	// Commit the headers before the first event: a subscriber to a queued
 	// sweep must see the stream open immediately, not block in its client
 	// until the first job lands.
 	w.WriteHeader(http.StatusOK)
 	rc.Flush() //nolint:errcheck
+	if s.streamOpened != nil {
+		s.streamOpened(id)
+	}
 	write := func(lines []string) bool {
 		if len(lines) == 0 {
 			return true
@@ -245,7 +252,6 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	lines, cursor, finished, notify := ev.replay(after)
 	if !write(lines) {
 		return
 	}

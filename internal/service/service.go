@@ -194,6 +194,9 @@ type Service struct {
 	cfg   Config
 	log   *slog.Logger
 	sleep func(time.Duration) // test seam for retry backoff
+	// streamOpened, when non-nil, runs in an event-stream handler between
+	// the header commit and the first write (test seam for that window).
+	streamOpened func(id string)
 
 	mu       sync.Mutex
 	sweeps   map[string]*sweep

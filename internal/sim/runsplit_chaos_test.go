@@ -77,8 +77,9 @@ func TestChaosRunSplitEquivalence(t *testing.T) {
 	start := make([]int, nRuns) // expanded index of each run's first ref
 	for i := range runs {
 		runs[i] = stream.Run{
-			Access: stream.Access{VA: base1 + uint64(i*stride)*units.Page4K + uint64(i%7)*64, Write: i%3 == 0},
-			Len:    runLen,
+			VA:    base1 + uint64(i*stride)*units.Page4K + uint64(i%7)*64,
+			Write: i%3 == 0,
+			Len:   runLen,
 		}
 		orig[i] = runLen
 		start[i] = i * runLen
@@ -125,7 +126,7 @@ func TestChaosRunSplitEquivalence(t *testing.T) {
 	var scalarEvents []faultEvent
 	ref := 0
 	for i := 0; i < nRuns; i++ {
-		lead := stream.Access{VA: base2 + uint64(i*stride)*units.Page4K + uint64(i%7)*64, Write: i%3 == 0}
+		lead := stream.Run{VA: base2 + uint64(i*stride)*units.Page4K + uint64(i%7)*64, Write: i%3 == 0}
 		for j := 0; j < runLen; j++ {
 			for attempt := 0; attempt < 3; attempt++ {
 				if m2.Translate(task2.AS.PT, lead.VA, lead.Write) {

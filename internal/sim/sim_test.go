@@ -464,81 +464,39 @@ func TestPvRestoresHostMappings(t *testing.T) {
 	}
 }
 
-// TestBatchScalarEquivalence pins the batched-pipeline contract (DESIGN.md
-// §5b): a configuration run through the scalar one-reference-at-a-time loop
-// (ScalarTranslate) and through the batched NextBatch → SweepL1 →
-// walk-only-misses pipeline must produce a byte-identical Result and an
-// identical per-batch time-series CSV. This is what licenses the memo-key
-// exclusion of ScalarTranslate (internal/runner) and every probe-skip the
-// batched path performs.
-func TestBatchScalarEquivalence(t *testing.T) {
-	cases := []struct {
-		workload string
-		policy   PolicyKind
-	}{
-		{"GUPS", PolicyTrident},
-		{"SVM", Policy4K},
-		{"Redis", PolicyHawkEye},
-	}
-	for _, tc := range cases {
-		t.Run(tc.workload, func(t *testing.T) {
-			run := func(scalar bool) (*Result, []byte) {
-				cfg := testConfig(tc.workload, tc.policy)
-				cfg.Accesses = 80_000
-				cfg.ScalarTranslate = scalar
-				series := filepath.Join(t.TempDir(), "series.csv")
-				ob := obs.NewObserver("", series, 1, false)
-				r := ob.NewRun(tc.workload)
-				cfg.Obs = r
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ob.Flush(r)
-				if err := ob.Close(); err != nil {
-					t.Fatal(err)
-				}
-				csv, err := os.ReadFile(series)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res, csv
-			}
-			sres, scsv := run(true)
-			bres, bcsv := run(false)
-			if !reflect.DeepEqual(sres, bres) {
-				t.Errorf("batched result differs from scalar:\nscalar:  %+v\nbatched: %+v", sres, bres)
-			}
-			if !bytes.Equal(scsv, bcsv) {
-				t.Errorf("batched series CSV differs from scalar:\nscalar:\n%s\nbatched:\n%s", scsv, bcsv)
-			}
-		})
-	}
-}
-
 // TestRunScalarEquivalence pins the run-coalesced pipeline contract
-// (DESIGN.md §5c): a configuration run through the scalar loop
-// (ScalarTranslate), through the batched per-reference pipeline
-// (RunCoalesceOff), and through the run-coalesced NextRuns → SweepL1Runs →
-// walk-only-lead-misses pipeline (RunCoalesceOn, the default) must produce
-// a byte-identical Result and an identical per-batch time-series CSV —
-// with ShadowCheck cross-checking every TLB-derived size against the page
-// table, under ragged access counts that leave a short final batch. This
-// is what licenses the memo-key exclusion of RunCoalesce (internal/runner)
-// and every probe and counter increment the run pipeline bulk-applies.
+// (DESIGN.md §5c): a configuration run through the scalar oracle loop
+// (ScalarTranslate) and through the run-coalesced NextRuns → SweepL1Runs →
+// walk-only-lead-misses pipeline (the default) must produce a
+// byte-identical Result and an identical per-batch time-series CSV — with
+// ShadowCheck cross-checking every TLB-derived size against the page
+// table, under ragged access counts that leave a short final batch. The
+// cases span native 4KB, HawkEye and Trident policies, fragmented and
+// virtualized machines, and uniform and hot/cold workloads; the Redis
+// cases give runs longer than one reference, so the bulk-charged tail of
+// a run is compared natively and nested. This is what licenses the memo-key exclusion of
+// ScalarTranslate (internal/runner) and every probe skip and counter
+// increment the run pipeline bulk-applies.
 func TestRunScalarEquivalence(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name     string
+		workload string
+		mutate   func(*Config)
 	}{
-		{"trident", func(c *Config) {
+		{"trident", "GUPS", func(c *Config) {
 			c.Policy = PolicyTrident
 		}},
-		{"hawkeye-fragmented", func(c *Config) {
+		{"svm-4k", "SVM", func(c *Config) {
+			c.Policy = Policy4K
+		}},
+		{"redis-hawkeye", "Redis", func(c *Config) {
+			c.Policy = PolicyHawkEye
+		}},
+		{"hawkeye-fragmented", "GUPS", func(c *Config) {
 			c.Policy = PolicyHawkEye
 			c.Fragment = true
 		}},
-		{"trident-pv-virtualized", func(c *Config) {
+		{"trident-pv-virtualized", "Redis", func(c *Config) {
 			c.Policy = PolicyTrident
 			c.Virtualized = true
 			c.HostPolicy = PolicyTrident
@@ -546,27 +504,18 @@ func TestRunScalarEquivalence(t *testing.T) {
 			c.KhugepagedBudgetFrac = 0.10
 		}},
 	}
-	type mode struct {
-		name   string
-		mutate func(*Config)
-	}
-	modes := []mode{
-		{"scalar", func(c *Config) { c.ScalarTranslate = true }},
-		{"batched", func(c *Config) { c.RunCoalesce = RunCoalesceOff }},
-		{"runs", func(c *Config) { c.RunCoalesce = RunCoalesceOn }},
-	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(m mode) (*Result, []byte) {
-				cfg := testConfig("GUPS", PolicyTrident)
+			run := func(scalar bool) (*Result, []byte) {
+				cfg := testConfig(tc.workload, PolicyTrident)
 				// Ragged: not a multiple of the 2000-access batch, so the
 				// final short batch takes the run pipeline too.
 				cfg.Accesses = 70_003
 				cfg.ShadowCheck = true
+				cfg.ScalarTranslate = scalar
 				tc.mutate(&cfg)
-				m.mutate(&cfg)
 				series := filepath.Join(t.TempDir(), "series.csv")
 				ob := obs.NewObserver("", series, 1, false)
 				r := ob.NewRun(tc.name)
@@ -585,15 +534,13 @@ func TestRunScalarEquivalence(t *testing.T) {
 				}
 				return res, csv
 			}
-			sres, scsv := run(modes[0])
-			for _, m := range modes[1:] {
-				mres, mcsv := run(m)
-				if !reflect.DeepEqual(sres, mres) {
-					t.Errorf("%s result differs from scalar:\nscalar: %+v\n%s: %+v", m.name, sres, m.name, mres)
-				}
-				if !bytes.Equal(scsv, mcsv) {
-					t.Errorf("%s series CSV differs from scalar:\nscalar:\n%s\n%s:\n%s", m.name, scsv, m.name, mcsv)
-				}
+			sres, scsv := run(true)
+			rres, rcsv := run(false)
+			if !reflect.DeepEqual(sres, rres) {
+				t.Errorf("runs result differs from scalar:\nscalar: %+v\nruns:   %+v", sres, rres)
+			}
+			if !bytes.Equal(scsv, rcsv) {
+				t.Errorf("runs series CSV differs from scalar:\nscalar:\n%s\nruns:\n%s", scsv, rcsv)
 			}
 		})
 	}

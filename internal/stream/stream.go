@@ -1,27 +1,21 @@
-// Package stream holds the flat reference-stream types shared by the
-// batched translation pipeline: workload.NextBatch fills a []Access buffer,
-// tlb.SweepL1 and mmu.TranslateBatch consume it. It is a leaf package (like
-// units and xrand) so every layer of the pipeline can exchange buffers
-// without introducing cross-layer imports.
+// Package stream holds the flat reference-stream type shared by the
+// run-coalesced translation pipeline: workload.NextRuns fills a []Run
+// buffer, tlb.SweepL1Runs and mmu.TranslateRuns consume it. It is a leaf
+// package (like units and xrand) so every layer of the pipeline can
+// exchange buffers without introducing cross-layer imports.
 package stream
 
-// Access is one memory reference drawn from a workload: a virtual address
-// and whether the reference writes. The struct is deliberately flat (16
-// bytes, no pointers) so a batch is a single contiguous allocation that the
-// pipeline reuses across batches.
-type Access struct {
-	VA    uint64
-	Write bool
-}
-
 // Run is a maximal run of Len consecutive references to the same page,
-// represented by the run's first reference (workload.NextRuns coalesces at
-// draw time; the page boundary is the finest configured page size, so a run
-// stays within one page at every size a TLB could map it with). The
-// run-coalesced translation pipeline (tlb.SweepL1Runs, mmu.TranslateRuns)
-// performs one probe or walk per run and weights the hit/miss counters by
+// represented by the run's first reference: its virtual address and whether
+// it writes (workload.NextRuns coalesces at draw time; the page boundary is
+// the finest configured page size, so a run stays within one page at every
+// size a TLB could map it with). The struct is deliberately flat (no
+// pointers) so a batch of runs is a single contiguous allocation that the
+// pipeline reuses across batches. tlb.SweepL1Runs and mmu.TranslateRuns
+// perform one probe or walk per run and weight the hit/miss counters by
 // Len — byte-identical to translating each reference, see DESIGN.md §5c.
 type Run struct {
-	Access
-	Len int
+	VA    uint64
+	Write bool
+	Len   int
 }

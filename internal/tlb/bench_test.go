@@ -42,25 +42,27 @@ func BenchmarkHierarchyProbeMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeSweep measures the batched L1 tag sweep on a warm working
-// set that fits the 4KB L1 — the régime the batched translation pipeline
-// spends most of its time in (a full batch consumed as one tight loop, no
-// scalar fallback). Reported per batch of 2000 references.
+// BenchmarkProbeSweep measures the L1 tag sweep (SweepL1Runs) on a warm
+// working set that fits the 4KB L1, over runs of length 1 — one probe per
+// reference, so the bench isolates the sweep's per-probe cost from the
+// bulk-hit arithmetic longer runs add. This is the régime the translation
+// pipeline spends most of its time in (a full batch consumed as one tight
+// loop, no scalar fallback). Reported per batch of 2000 references.
 func BenchmarkProbeSweep(b *testing.B) {
 	h := NewHierarchy(Skylake())
 	const pages = 32 // 2 per set of the 16-set 4-way L1: all resident
 	for i := 0; i < pages; i++ {
 		h.Access(uint64(i)*units.Page4K, units.Size4K)
 	}
-	batch := make([]stream.Access, 2000)
-	sizes := make([]uint8, len(batch))
-	for i := range batch {
-		batch[i] = stream.Access{VA: uint64(i%pages) * units.Page4K}
+	runs := make([]stream.Run, 2000)
+	sizes := make([]uint8, len(runs))
+	for i := range runs {
+		runs[i] = stream.Run{VA: uint64(i%pages) * units.Page4K, Len: 1}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if h.SweepL1(batch, sizes) != len(batch) {
+		if h.SweepL1Runs(runs, sizes) != len(runs) {
 			b.Fatal("sweep parked on a warm working set")
 		}
 	}

@@ -309,91 +309,52 @@ func TestWriteFractionRoughlyHonored(t *testing.T) {
 	}
 }
 
-// TestNextBatchDeterminism pins the batched draw contract: NextBatch must
-// reproduce the exact reference stream Next produces, for any sequence of
-// batch sizes. Two instances of the same (workload, seed) are advanced in
-// lockstep — one scalar, one through NextBatch with deliberately ragged
-// batch sizes — and every (VA, write) pair must match positionally, so the
-// batched pipeline cannot drift from the scalar stream at batch-size
-// boundaries (accept/reject loops inside a draw straddle them).
-func TestNextBatchDeterminism(t *testing.T) {
-	for _, name := range []string{"GUPS", "Redis", "SVM"} {
-		t.Run(name, func(t *testing.T) {
-			scalar, _ := instantiate(t, name, 2, thp)
-			batched, _ := instantiate(t, name, 2, thp)
-
-			// Ragged sizes: primes and powers, including 1, so draws land
-			// on every alignment relative to the batch boundary.
-			sizes := []int{1, 3, 17, 256, 7, 64, 1000, 5, 129, 2}
-			buf := make([]stream.Access, 1000)
-			drawn := 0
-			for _, n := range sizes {
-				got := batched.NextBatch(buf[:n])
-				if got != n {
-					t.Fatalf("NextBatch(%d) = %d", n, got)
-				}
-				for i := 0; i < n; i++ {
-					va, write := scalar.Next()
-					if buf[i].VA != va || buf[i].Write != write {
-						t.Fatalf("draw %d: batch (%#x, %v) != scalar (%#x, %v)",
-							drawn+i, buf[i].VA, buf[i].Write, va, write)
-					}
-				}
-				drawn += n
-			}
-		})
-	}
-}
-
 // TestNextRunsDeterminism pins the run-coalesced draw contract: NextRuns
-// must consume exactly the raw values NextBatch would and produce maximal
-// runs whose expansion — Len references, all in the leading reference's
-// page — reproduces NextBatch's page sequence bit-for-bit, for any sequence
-// of ragged draw counts. Three instances of the same (workload, seed) are
-// advanced in lockstep: one through NextBatch (the reference stream), one
-// through NextRuns, and one through Next to prove the rng cursor of the
-// runs instance never drifts at draw-count boundaries.
+// must consume exactly the raw values Next would and produce maximal runs
+// whose expansion — Len references, all in the leading reference's page —
+// reproduces Next's page sequence bit-for-bit, for any sequence of ragged
+// draw counts. Two instances of the same (workload, seed) are advanced in
+// lockstep: one through Next (the scalar oracle, written on xrand's public
+// draws rather than the compiled draw plan), one through NextRuns. Every
+// draw of the scalar instance is checked against the run it falls in, so
+// the runs instance's rng cursor cannot drift at draw-count boundaries
+// (accept/reject loops inside a draw straddle them).
 func TestNextRunsDeterminism(t *testing.T) {
 	for _, name := range []string{"GUPS", "Redis", "SVM"} {
 		t.Run(name, func(t *testing.T) {
-			batched, _ := instantiate(t, name, 2, thp)
+			scalar, _ := instantiate(t, name, 2, thp)
 			coalesced, _ := instantiate(t, name, 2, thp)
 
 			// Ragged counts: primes and powers, including 1, so runs end
 			// on every alignment relative to the draw-count boundary.
 			sizes := []int{1, 3, 17, 256, 7, 64, 1000, 5, 129, 2}
-			batch := make([]stream.Access, 1000)
 			runBuf := make([]stream.Run, 0, 1000)
 			pageShift := units.Size4K.Shift()
 			drawn := 0
 			for _, n := range sizes {
-				if got := batched.NextBatch(batch[:n]); got != n {
-					t.Fatalf("NextBatch(%d) = %d", n, got)
-				}
 				runs := coalesced.NextRuns(runBuf, n)
 				total := 0
-				i := 0 // position within batch[:n]
 				for k, r := range runs {
 					if r.Len < 1 {
 						t.Fatalf("run %d has Len %d", k, r.Len)
 					}
 					// The leading reference is the draw itself, verbatim.
-					if r.VA != batch[i].VA || r.Write != batch[i].Write {
-						t.Fatalf("draw %d: run lead (%#x, %v) != batch (%#x, %v)",
-							drawn+i, r.VA, r.Write, batch[i].VA, batch[i].Write)
+					va, write := scalar.Next()
+					if r.VA != va || r.Write != write {
+						t.Fatalf("draw %d: run lead (%#x, %v) != scalar (%#x, %v)",
+							drawn+total, r.VA, r.Write, va, write)
 					}
 					// Every coalesced reference shares the leading page.
 					for j := 1; j < r.Len; j++ {
-						if batch[i+j].VA>>pageShift != r.VA>>pageShift {
-							t.Fatalf("draw %d: coalesced into run at page %#x but batch page is %#x",
-								drawn+i+j, r.VA>>pageShift, batch[i+j].VA>>pageShift)
+						if va, _ := scalar.Next(); va>>pageShift != r.VA>>pageShift {
+							t.Fatalf("draw %d: coalesced into run at page %#x but scalar page is %#x",
+								drawn+total+j, r.VA>>pageShift, va>>pageShift)
 						}
 					}
 					// Runs are maximal: the next run starts a new page.
 					if k+1 < len(runs) && runs[k+1].VA>>pageShift == r.VA>>pageShift {
 						t.Fatalf("run %d not maximal: next run shares page %#x", k, r.VA>>pageShift)
 					}
-					i += r.Len
 					total += r.Len
 				}
 				if total != n {
