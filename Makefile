@@ -39,10 +39,12 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 
 # Fuzz smoke: ten seconds of audit-checked random kernel-op sequences under
-# chaos-injected buddy failures. The seed corpus alone runs on plain
-# `make test`; this exercises the mutator too.
+# chaos-injected buddy failures, then five of mutated store envelopes (the
+# checksum guarding the checkpoint journal and the shared store). The seed
+# corpora alone run on plain `make test`; this exercises the mutators too.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz FuzzEnvelope -fuzztime 5s ./internal/store
 
 # Bench-rot gate: compile and run every benchmark in the tree exactly once
 # (no test functions: -run matches nothing). Catches benchmarks broken by
@@ -51,10 +53,11 @@ benchcheck:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Perf-trajectory gate: run BenchmarkFigure9 + the translation
-# microbenchmarks (min of 3 × -benchtime 3x), append one
-# {pr, bench, ns_per_op, allocs_per_op} record per bench to
-# BENCH_trident.json, and fail on a >15% ns/op regression vs each bench's
-# last recorded entry from an earlier PR.
+# microbenchmarks (min of 3 runs each), append one
+# {pr, bench, benchtime, host, ns_per_op, bytes_per_op, allocs_per_op}
+# record per bench to BENCH_trident.json, and fail on a >15% ns/op or B/op
+# regression vs each bench's last recorded entry from an earlier PR on the
+# same host and benchtime.
 benchjson:
 	$(GO) run ./cmd/benchjson
 

@@ -2,7 +2,8 @@
 # Tier-1 verification (ROADMAP.md): build, vet, full tests, the race
 # detector on the concurrent packages, the shadow-coherence tests and the
 # chaos/audit robustness suites, a 10s fuzz smoke of the audit-checked
-# kernel-op fuzzer, a one-iteration sweep of every benchmark (bench-rot
+# kernel-op fuzzer and a 5s one of the store's checksummed envelope, a
+# one-iteration sweep of every benchmark (bench-rot
 # gate), the tridentlint determinism & layering suite (self-clean gate plus
 # a negative gate on seeded violations, DESIGN.md §8), a traced
 # experiment validated by tracecheck (observability gate, DESIGN.md §7),
@@ -61,12 +62,14 @@ go test -race -run 'TestShadowCoherence' ./internal/sim
 go test -race ./internal/chaos ./internal/audit
 go test -race -run 'TestChaos|TestAuditEvery|TestObs' ./internal/sim
 go test -run '^$' -fuzz FuzzKernelOpsAudit -fuzztime 10s ./internal/kernel
+go test -run '^$' -fuzz FuzzEnvelope -fuzztime 5s ./internal/store
 go test -run '^$' -bench=. -benchtime=1x ./...
 
 # Perf-trajectory gate: BenchmarkFigure9 + the translation microbenchmarks
-# (min of 3 × -benchtime 3x) appended to BENCH_trident.json as
-# {pr, bench, ns_per_op, allocs_per_op}; fails on a >15% ns/op regression
-# vs each bench's last recorded entry from an earlier PR.
+# (min of 3 runs each) appended to BENCH_trident.json as
+# {pr, bench, benchtime, host, ns_per_op, bytes_per_op, allocs_per_op};
+# fails on a >15% ns/op or B/op regression vs each bench's last recorded
+# entry from an earlier PR on the same host and benchtime.
 go run ./cmd/benchjson
 
 # Observability gate: a small traced experiment must produce a valid

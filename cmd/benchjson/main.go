@@ -1,13 +1,20 @@
 // Command benchjson records the per-PR benchmark trajectory the ROADMAP
 // asks for: it runs BenchmarkFigure9 plus the translation microbenchmarks
 // (BenchmarkNextRuns, BenchmarkTranslateRuns, BenchmarkProbeSweep,
-// BenchmarkKernelReuse), appends one {pr, bench, benchtime, ns_per_op,
-// bytes_per_op, allocs_per_op} record per bench to BENCH_trident.json, and
-// exits 1 when any bench regressed more than -tolerance (default 15%) in
-// ns/op — or in bytes/op, which catches allocation creep that a fast box
-// hides — against its last recorded entry from an earlier PR. Only measured
-// benches are gated, so records of benches since deleted stay in the file
-// as history.
+// BenchmarkKernelReuse), appends one {pr, bench, benchtime, host,
+// ns_per_op, bytes_per_op, allocs_per_op} record per bench to
+// BENCH_trident.json, and exits 1 when any bench regressed more than
+// -tolerance (default 15%) in ns/op — or in bytes/op, which catches
+// allocation creep that a fast box hides — against its last recorded entry
+// from an earlier PR on the same host. Only measured benches are gated, so
+// records of benches since deleted stay in the file as history.
+//
+// A record's host names the machine and toolchain that measured it: CPU
+// model, GOMAXPROCS, Go version and GOOS/GOARCH. The same code can read
+// twice as slow on a smaller or busier machine, so a bench is compared only
+// with records from its own host; records written before the field existed
+// have no host and are history only. A bench with no record from this host
+// starts a fresh baseline.
 //
 // Each suite carries its own -benchtime: the seconds-long Figure 9 macro
 // benchmark runs 3 fixed iterations, while the microsecond-scale
@@ -34,6 +41,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -42,11 +50,13 @@ import (
 // written before PR 7 (when it started being tracked); the regression gate
 // skips the bytes comparison against such records. Benchtime is empty on
 // records from before it was tracked, when every suite ran at the then
-// global default "3x"; the gate reads those as "3x".
+// global default "3x"; the gate reads those as "3x". Host is empty on
+// records from before it was tracked; the gate never compares with those.
 type Record struct {
 	PR          int     `json:"pr"`
 	Bench       string  `json:"bench"`
 	Benchtime   string  `json:"benchtime,omitempty"`
+	Host        string  `json:"host,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -108,34 +118,25 @@ func main() {
 		fatal(err)
 	}
 
-	// Regression check: each measured bench against the most recent record
-	// from a different (earlier) PR, on ns/op and (where the old record has
-	// it) bytes/op. Records measured under a different benchtime protocol
-	// are not comparable — a suite whose protocol changed starts a fresh
-	// baseline at this PR.
+	// Regression check: each measured bench against its baseline, on ns/op
+	// and (where the baseline has it) bytes/op.
 	var regressions []string
 	for _, m := range measured {
-		for i := len(history) - 1; i >= 0; i-- {
-			h := history[i]
-			if h.Bench != m.Bench || h.PR == *pr {
-				continue
-			}
-			if histBenchtime(h) != m.Benchtime {
-				break
-			}
-			if m.NsPerOp > h.NsPerOp*(1+*tolerance) {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %.0f ns/op vs %.0f at PR %d (%+.1f%%, tolerance %.0f%%)",
-						m.Bench, m.NsPerOp, h.NsPerOp, h.PR,
-						100*(m.NsPerOp/h.NsPerOp-1), 100**tolerance))
-			}
-			if h.BytesPerOp > 0 && m.BytesPerOp > h.BytesPerOp*(1+*tolerance) {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %.0f B/op vs %.0f at PR %d (%+.1f%%, tolerance %.0f%%)",
-						m.Bench, m.BytesPerOp, h.BytesPerOp, h.PR,
-						100*(m.BytesPerOp/h.BytesPerOp-1), 100**tolerance))
-			}
-			break
+		h, ok := baseline(history, m, *pr)
+		if !ok {
+			continue
+		}
+		if m.NsPerOp > h.NsPerOp*(1+*tolerance) {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.0f ns/op vs %.0f at PR %d (%+.1f%%, tolerance %.0f%%)",
+					m.Bench, m.NsPerOp, h.NsPerOp, h.PR,
+					100*(m.NsPerOp/h.NsPerOp-1), 100**tolerance))
+		}
+		if h.BytesPerOp > 0 && m.BytesPerOp > h.BytesPerOp*(1+*tolerance) {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.0f B/op vs %.0f at PR %d (%+.1f%%, tolerance %.0f%%)",
+					m.Bench, m.BytesPerOp, h.BytesPerOp, h.PR,
+					100*(m.BytesPerOp/h.BytesPerOp-1), 100**tolerance))
 		}
 	}
 
@@ -173,6 +174,43 @@ func main() {
 	}
 }
 
+// baseline returns the record m is gated against: the most recent record
+// of the same bench from an earlier PR, measured on the same host under the
+// same benchtime protocol. Records from other hosts, other protocols or
+// before hosts were recorded are skipped; no match means a fresh baseline.
+func baseline(history []Record, m Record, pr int) (Record, bool) {
+	for i := len(history) - 1; i >= 0; i-- {
+		h := history[i]
+		if h.Bench == m.Bench && h.PR != pr && h.Host != "" && h.Host == m.Host && histBenchtime(h) == m.Benchtime {
+			return h, true
+		}
+	}
+	return Record{}, false
+}
+
+// hostID names the machine and toolchain a bench runs on: CPU model,
+// GOMAXPROCS, Go version and GOOS/GOARCH. The go test subprocesses inherit
+// this process's environment and toolchain, so they run under the same
+// values.
+func hostID() string {
+	return fmt.Sprintf("%s; GOMAXPROCS=%d; %s; %s/%s",
+		cpuModel(), runtime.GOMAXPROCS(0), runtime.Version(), runtime.GOOS, runtime.GOARCH)
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo, or reports
+// "unknown CPU" where there is none (non-Linux hosts, some ARM kernels).
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return "unknown CPU"
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)
 	os.Exit(2)
@@ -199,9 +237,10 @@ func prFromChanges(path string) (int, error) {
 
 // runSuites measures every suite and returns one Record per bench holding
 // the minimum ns/op (and its allocs/op) across the -count runs, each record
-// stamped with the -benchtime it ran under. A non-empty override replaces
-// every suite's own benchtime.
+// stamped with the -benchtime it ran under and the host. A non-empty
+// override replaces every suite's own benchtime.
 func runSuites(override string, count int) ([]Record, error) {
+	host := hostID()
 	best := map[string]Record{}
 	var order []string
 	for _, s := range suites {
@@ -221,6 +260,7 @@ func runSuites(override string, count int) ([]Record, error) {
 				continue
 			}
 			rec.Benchtime = bt
+			rec.Host = host
 			prev, seen := best[rec.Bench]
 			if !seen {
 				order = append(order, rec.Bench)

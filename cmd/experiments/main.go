@@ -131,7 +131,7 @@ func run() error {
 		memprofile = flag.String("memprofile", "", "write heap profile to file on exit")
 		timeout    = flag.Duration("timeout", 0, "per-job time limit; a job over it is recorded as failed (0 = none)")
 		deadline   = flag.Duration("deadline", 0, "whole-run time limit; remaining jobs are skipped past it (0 = none)")
-		resume     = flag.Bool("resume", false, "reload results journaled under <out>/checkpoint by a previous run; without it the journal is cleared at startup")
+		resume     = flag.Bool("resume", false, "reload results journaled under <out>/checkpoint by a previous run (checksummed store entries; a corrupt one is recomputed, pre-store *.json journals are ignored); without it the journal is cleared at startup")
 		trace      = flag.Bool("trace", false, "write a Perfetto trace (<out>/trace/<experiment>.json) and per-batch time series (<out>/trace/<experiment>-series.csv) per experiment; results are unchanged")
 		sampleEach = flag.Int("sample-every", 1, "with -trace: record one time-series sample every N measurement batches (0 disables the series)")
 		httpAddr   = flag.String("http", "", "serve /metrics (Prometheus), /progress (JSON) and /debug/pprof on this address while running (e.g. :8080)")
@@ -212,10 +212,11 @@ Examples:
 		return err
 	}
 
-	// Completed simulations are journaled under the report directory; with
-	// -resume a re-run reloads them (byte-identically — the journal key is
-	// the memo-cache fingerprint) and computes only what is missing. Without
-	// -resume the journal is cleared so stale results can never leak in.
+	// Completed simulations are journaled under the report directory, an fs
+	// result store; with -resume a re-run reloads them (byte-identically —
+	// the journal key is the memo-cache fingerprint) and computes only what
+	// is missing. Without -resume the journal is cleared so stale results
+	// can never leak in.
 	ckptDir := filepath.Join(*out, "checkpoint")
 	if !*resume {
 		if err := os.RemoveAll(ckptDir); err != nil {

@@ -51,8 +51,9 @@ type Settings struct {
 	Ctx context.Context
 	// Timeout bounds each simulator job individually; 0 = no limit.
 	Timeout time.Duration
-	// Checkpoint, when non-empty, is the runner's journal directory:
-	// completed results are saved there and reloaded on a resumed run.
+	// Checkpoint, when non-empty, is the runner's journal directory, an fs
+	// result store: completed results are saved there and reloaded on a
+	// resumed run (runner.Options.Checkpoint).
 	Checkpoint string
 	// Store, when non-nil, is the persistent result store: a third memo
 	// tier behind the in-process cache and the checkpoint journal. Results

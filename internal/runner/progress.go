@@ -98,13 +98,12 @@ func (t *tracker) jobFinished(r *jobResult) {
 	} else {
 		t.p.Done++
 	}
-	if r.cached {
+	switch r.src {
+	case srcHit:
 		t.p.CacheHits++
-	}
-	if r.resumed {
+	case srcResumed:
 		t.p.Resumed++
-	}
-	if r.fromStore {
+	case srcStore:
 		t.p.StoreHits++
 	}
 	for phase, ms := range r.phaseWall {

@@ -22,7 +22,9 @@
 // every other job still runs and delivers (DESIGN.md §6). Options.Context
 // and Options.JobTimeout bound a batch and each job; Options.Checkpoint
 // journals each completed simulator result to disk so a killed run can be
-// resumed without recomputing finished experiments.
+// resumed without recomputing finished experiments. The journal and the
+// shared Options.Store are the memo cache's durable tiers: both are
+// internal/store stores with one envelope and one failure policy.
 package runner
 
 import (
@@ -97,24 +99,27 @@ type Options struct {
 	// JobTimeout bounds each job individually (simulator jobs only; Func
 	// jobs have no cancellation point). <= 0 means no per-job limit.
 	JobTimeout time.Duration
-	// Checkpoint, when non-empty, is a directory where each completed
-	// simulator result is journaled as one JSON file named by the job's
-	// memo fingerprint, and from which previously journaled results are
-	// reloaded instead of recomputed. Because the fingerprint is the same
-	// canonical key the memo cache uses, resuming a killed run replays
-	// finished experiments byte-identically and computes only the rest.
-	// The directory must be cleared when the simulator changes; the
+	// Checkpoint, when non-empty, is the per-run journal directory. Execute
+	// opens it as an fs store (internal/store): each completed simulator
+	// result is published there under the job's memo fingerprint, inside
+	// the store's checksummed envelope, and previously journaled results
+	// are reloaded instead of recomputed. Because the fingerprint is the
+	// same canonical key the memo cache uses, resuming a killed run
+	// replays finished experiments byte-identically and computes only the
+	// rest. A directory that cannot be opened fails the batch's simulator
+	// jobs. The directory must be cleared when the simulator changes; the
 	// journal records results, not the code that produced them.
 	Checkpoint string
-	// Store, when non-nil, is the persistent content-addressed result
-	// store (internal/store): completed simulator results are published
-	// under their memo fingerprint and reloaded on later Execute calls —
-	// across process restarts and across concurrent processes sharing a
-	// backend. It composes with Checkpoint as a third memo tier (memory →
-	// journal → store). Store trouble never fails a job: corrupt entries
-	// are quarantined and recomputed, write failures degrade to
-	// Report.Notes records. Like the journal, the store must be cleared
-	// when the simulator changes.
+	// Store, when non-nil, is the shared persistent result store:
+	// completed simulator results are published under their memo
+	// fingerprint and reloaded on later Execute calls — across process
+	// restarts and across concurrent processes sharing a backend. The
+	// memo tiers are memory → journal → store → run; a hit in a later
+	// tier (or a fresh run) is written back to every earlier durable
+	// tier. Neither durable tier ever fails a job: corrupt entries are
+	// quarantined and recomputed, writes that exhaust their retries
+	// degrade to Report.Notes records. Like the journal, the store must
+	// be cleared when the simulator changes.
 	Store *store.Store
 
 	// Obs, when non-nil, attaches a per-run observability recorder
@@ -201,11 +206,11 @@ type Report struct {
 	// Empty means every callback ran.
 	Failures []Failure
 	// Notes lists durability incidents that did NOT prevent delivery, in
-	// submission order: a corrupt checkpoint entry skipped and re-executed
-	// on resume, a quarantined store entry recomputed, a store write whose
-	// retry budget ran out. Phase is "durability". They never affect OK()
-	// — the results themselves are correct — but operators should see
-	// them: each one is a disk lying.
+	// submission order: a corrupt journal or store entry quarantined and
+	// re-executed, a journal or store write whose retry budget ran out.
+	// Phase is "durability". They never affect OK() — the results
+	// themselves are correct — but operators should see them: each one is
+	// a disk lying.
 	Notes []Failure
 }
 
@@ -247,10 +252,7 @@ func Execute(jobs []Job, opts Options) *Report {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var ckpt *checkpoint
-	if opts.Checkpoint != "" {
-		ckpt = &checkpoint{dir: opts.Checkpoint}
-	}
+	tiers, tierErr := durableTiers(opts)
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -300,7 +302,7 @@ func Execute(jobs []Job, opts Options) *Report {
 				}
 				start := time.Now()
 				pprof.Do(context.Background(), jobLabels(&jobs[i], opts.Label), func(context.Context) {
-					runJob(jctx, &jobs[i], r, opts, ckpt)
+					runJob(jctx, &jobs[i], r, opts, tiers, tierErr)
 				})
 				cancel()
 				r.wallMs = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -317,7 +319,7 @@ func Execute(jobs []Job, opts Options) *Report {
 		r := &results[i]
 		if r.note != nil {
 			// Durability incident that did not stop the job (corrupt
-			// journal/store entry recomputed, store write degraded).
+			// journal/store entry recomputed, write degraded).
 			rep.Notes = append(rep.Notes, Failure{Index: i, Experiment: opts.Label,
 				Name: jobName(j), Phase: "durability", Err: r.note, Cfg: j.Cfg})
 			if opts.Log != nil {
@@ -385,10 +387,8 @@ type jobResult struct {
 	panicked  any
 	stack     string
 	skipped   bool
-	cached    bool  // served from the in-process memo cache
-	resumed   bool  // reloaded from the checkpoint journal
-	fromStore bool  // reloaded from the persistent result store
-	note      error // durability incident that did not stop the job
+	src       runSource // which memo tier satisfied a simulator job
+	note      error     // durability incident that did not stop the job
 	obs       *obs.Run
 	phaseWall map[string]float64 // wall ms per sim phase (executed jobs only)
 	wallMs    float64
@@ -408,14 +408,8 @@ func (r *jobResult) source() string {
 		return "failed"
 	case r.skipped:
 		return "skipped"
-	case r.cached:
-		return "cache"
-	case r.resumed:
-		return "checkpoint"
-	case r.fromStore:
-		return "store"
 	default:
-		return "executed"
+		return r.src.String()
 	}
 }
 
@@ -471,7 +465,7 @@ func jobLabels(j *Job, label string) pprof.LabelSet {
 	return pprof.Labels(kv...)
 }
 
-func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *checkpoint) {
+func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, tiers []tier, tierErr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.panicked = p
@@ -480,6 +474,10 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *check
 	}()
 	if j.Run != nil {
 		r.out = j.Run()
+		return
+	}
+	if tierErr != nil {
+		r.err = tierErr
 		return
 	}
 	// Every simulator job gets a recorder: with Options.Obs it carries the
@@ -504,10 +502,8 @@ func runJob(ctx context.Context, j *Job, r *jobResult, opts Options, ckpt *check
 		}
 	}
 	cfg.Obs = orun
-	res, src, note, e := cachedRun(ctx, cfg, opts.NoCache, ckpt, opts.Store)
-	r.cached = src == srcHit
-	r.resumed = src == srcResumed
-	r.fromStore = src == srcStore
+	res, src, note, e := cachedRun(ctx, cfg, opts.NoCache, tiers)
+	r.src = src
 	r.note = note
 	r.obs = orun
 	r.out, r.err = res, e
@@ -535,8 +531,8 @@ var MemoKeyExclusions = map[string]string{
 // configs differing only in Obs compute the same Result and must share a
 // cache slot.
 // Every field is plain value data (no pointers), so fmt's %#v rendering of a
-// key is stable across processes — the checkpoint journal hashes it to name
-// files.
+// key is stable across processes — fingerprintKey hashes it to address the
+// durable tiers' entries.
 type cacheKey struct {
 	workload             workload.Spec
 	tlb                  tlb.Config
@@ -592,16 +588,46 @@ const (
 	srcStore
 )
 
+// String names the source as logs, metrics and the service event stream
+// report it.
+func (s runSource) String() string {
+	return [...]string{"executed", "cache", "checkpoint", "store"}[s]
+}
+
+// tier is one durable memo tier: a store, the source a hit there reports,
+// and the counter it credits.
+type tier struct {
+	st   *store.Store
+	src  runSource
+	hits *atomic.Uint64
+}
+
+// durableTiers opens the batch's durable memo tiers in lookup order: the
+// per-run checkpoint journal, then the shared store.
+func durableTiers(opts Options) ([]tier, error) {
+	var tiers []tier
+	if opts.Checkpoint != "" {
+		fsd, err := store.NewFS(opts.Checkpoint, nil)
+		if err != nil {
+			return nil, fmt.Errorf("runner: checkpoint journal: %w", err)
+		}
+		tiers = append(tiers, tier{st: store.New(fsd, store.DefaultRetry), src: srcResumed, hits: &resumed})
+	}
+	if opts.Store != nil {
+		tiers = append(tiers, tier{st: opts.Store, src: srcStore, hits: &storeHits})
+	}
+	return tiers, nil
+}
+
 // entry is one single-flight cache slot: the first arrival computes under
 // once; latecomers block on once.Do and read the stored outcome.
 type entry struct {
-	once      sync.Once
-	res       *sim.Result
-	err       error
-	note      error // durability incident recorded by the computing arrival
-	panicked  any
-	fromCkpt  bool
-	fromStore bool
+	once     sync.Once
+	res      *sim.Result
+	err      error
+	note     error // durability incident recorded by the computing arrival
+	panicked any
+	src      runSource // srcExecuted or the durable tier that held the result
 }
 
 var (
@@ -614,7 +640,7 @@ var (
 )
 
 // joinNotes chains durability notes so one job can report both a corrupt
-// checkpoint entry and, say, a failed store write.
+// journal entry and, say, a failed store write.
 func joinNotes(a, b error) error {
 	switch {
 	case a == nil:
@@ -626,14 +652,16 @@ func joinNotes(a, b error) error {
 	}
 }
 
-// cachedRun executes cfg through the memo cache tiers: in-process map →
-// checkpoint journal → persistent store → sim.RunContext. Results are
-// shared across callers and must be treated as immutable (sim.Result is
-// plain measured data; drivers only read it). The note return carries
-// durability incidents that did not prevent the job (corrupt entries
-// recomputed, store writes degraded); it is non-nil only for the arrival
-// that performed the work (single-flight latecomers report nothing).
-func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoint, st *store.Store) (*sim.Result, runSource, error, error) {
+// cachedRun executes cfg through the memo tiers: the in-process map, then
+// each durable tier in order, then sim.RunContext. A hit at durable tier
+// i — or a fresh execution — is written back to every tier before i, so a
+// later resume finds it in the first tier it consults. Results are shared
+// across callers and must be treated as immutable (sim.Result is plain
+// measured data; drivers only read it). The note return carries durability
+// incidents that did not prevent the job (corrupt entries recomputed,
+// writes degraded); it is non-nil only for the arrival that performed the
+// work (single-flight latecomers report nothing).
+func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, tiers []tier) (*sim.Result, runSource, error, error) {
 	if noCache || cfg.Workload == nil {
 		res, err := sim.RunContext(ctx, cfg)
 		return res, srcExecuted, nil, err
@@ -655,63 +683,36 @@ func cachedRun(ctx context.Context, cfg sim.Config, noCache bool, ckpt *checkpoi
 				e.panicked = p
 			}
 		}()
-		if ckpt != nil {
-			res, lerr := ckpt.load(key)
-			if lerr != nil {
-				// Torn or unreadable journal entry: skip it and re-execute
-				// this one configuration instead of aborting the resume.
-				e.note = joinNotes(e.note, lerr)
-			}
-			if res != nil {
-				resumed.Add(1)
-				e.res = res
-				e.fromCkpt = true
-				return
-			}
-		}
 		var fp string
-		if st != nil {
+		if len(tiers) > 0 {
 			fp = fingerprintKey(key)
-			res, lerr := storeLoad(st, fp)
-			if lerr != nil {
-				e.note = joinNotes(e.note, lerr)
-			}
+		}
+		found := len(tiers)
+		for i, t := range tiers {
+			res, lerr := storeLoad(t.st, t.src, fp)
+			// A corrupt or unreadable entry is skipped: the next tier (or a
+			// fresh run) supplies the result instead of aborting the resume.
+			e.note = joinNotes(e.note, lerr)
 			if res != nil {
-				storeHits.Add(1)
-				e.res = res
-				e.fromStore = true
-				if ckpt != nil {
-					// Seed the per-run journal too, so a later resume of
-					// this run replays without consulting the store.
-					if serr := ckpt.save(key, res); serr != nil {
-						e.note = joinNotes(e.note, serr)
-					}
-				}
+				t.hits.Add(1)
+				e.res, e.src, found = res, t.src, i
+				break
+			}
+		}
+		if e.res == nil {
+			misses.Add(1)
+			if e.res, e.err = sim.RunContext(ctx, cfg); e.err != nil {
 				return
 			}
 		}
-		misses.Add(1)
-		e.res, e.err = sim.RunContext(ctx, cfg)
-		if e.err == nil && ckpt != nil {
-			e.err = ckpt.save(key, e.res)
-		}
-		if e.err == nil && st != nil {
-			// Store trouble degrades durability, never correctness: the
-			// computed result is delivered either way.
-			if serr := storeSave(st, fp, e.res); serr != nil {
-				e.note = joinNotes(e.note, serr)
-			}
+		for _, t := range tiers[:found] {
+			e.note = joinNotes(e.note, storeSave(t.st, t.src, fp, e.res))
 		}
 	})
-	src := srcExecuted
-	switch {
-	case !first:
+	src := e.src
+	if !first {
 		src = srcHit
 		hits.Add(1)
-	case e.fromCkpt:
-		src = srcResumed
-	case e.fromStore:
-		src = srcStore
 	}
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// A cancelled run is an absence of a result, not a result: drop the

@@ -3,8 +3,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -330,28 +328,6 @@ func TestCheckpointKillAndResume(t *testing.T) {
 	}
 	if resumedTab.CSV() != base.CSV() {
 		t.Fatalf("resumed CSV differs from uninterrupted run:\n--- base\n%s--- resumed\n%s", base.CSV(), resumedTab.CSV())
-	}
-}
-
-// TestCheckpointCorruptFileIgnored: a journal file torn by the crash being
-// recovered from must be recomputed, not half-loaded.
-func TestCheckpointCorruptFileIgnored(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	dir := t.TempDir()
-	cfg := tinyConfig(t)
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("journal has %d files (err %v), want 1", len(ents), err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ResetCache()
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	if cs := Cache(); cs.Resumed != 0 || cs.Misses != 1 {
-		t.Fatalf("corrupt journal file was resumed: %+v", cs)
 	}
 }
 

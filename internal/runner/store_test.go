@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -179,41 +180,124 @@ func TestStoreChaosFaultsNeverChangeResults(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptEntryNoteAndRerun pins the resume-durability
-// satellite: a truncated checkpoint entry must be skipped and re-executed
-// with a structured durability note — not resumed wrong, not fatal to the
-// whole resume.
+// TestCheckpointCorruptEntryNoteAndRerun pins resume durability: a journal
+// entry that is torn (the crash being resumed hit mid-write) or has one
+// digit of its payload changed (the disk lying) must be quarantined and
+// re-executed with a structured durability note — not resumed wrong, not
+// fatal to the whole resume — and the recomputed result must equal the
+// uninterrupted one.
 func TestCheckpointCorruptEntryNoteAndRerun(t *testing.T) {
+	cfg := tinyConfig(t)
+	ResetCache()
+	var clean *sim.Result
+	Execute([]Job{Sim(cfg, func(r *sim.Result) { clean = r })}, Options{}).MustOK()
+	cleanJSON, _ := json.Marshal(clean)
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, entry []byte) []byte
+	}{
+		{"torn", func(*testing.T, []byte) []byte { return []byte("{torn") }},
+		// Valid JSON after the change: only a checksum can tell.
+		{"bit-flip", func(t *testing.T, entry []byte) []byte {
+			field := []byte(`"CyclesPerAccess":`)
+			i := bytes.Index(entry, field) + len(field)
+			if i < len(field) || entry[i] < '0' || entry[i] > '9' {
+				t.Fatalf("no CyclesPerAccess digit in journal entry %q", entry)
+			}
+			out := bytes.Clone(entry)
+			out[i] = '0' + (entry[i]-'0'+1)%10
+			return out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ResetCache()
+			defer ResetCache()
+			dir := t.TempDir()
+			Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
+			ents, err := os.ReadDir(dir)
+			if err != nil || len(ents) != 1 {
+				t.Fatalf("journal has %d files (err %v), want 1", len(ents), err)
+			}
+			path := filepath.Join(dir, ents[0].Name())
+			entry, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.corrupt(t, entry), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ResetCache()
+			var redone *sim.Result
+			rep := Execute([]Job{Sim(cfg, func(r *sim.Result) { redone = r })}, Options{Checkpoint: dir})
+			rep.MustOK()
+			if cs := Cache(); cs.Resumed != 0 || cs.Misses != 1 {
+				t.Fatalf("corrupt journal entry was resumed: %+v", cs)
+			}
+			if len(rep.Notes) != 1 {
+				t.Fatalf("Notes = %+v, want exactly one for the corrupt entry", rep.Notes)
+			}
+			n := rep.Notes[0]
+			if n.Phase != "durability" || n.Err == nil || !strings.Contains(n.Err.Error(), "corrupt") {
+				t.Fatalf("note = %+v, want a durability note naming the corrupt entry", n)
+			}
+			if redoneJSON, _ := json.Marshal(redone); string(redoneJSON) != string(cleanJSON) {
+				t.Fatalf("recomputed result differs from the uninterrupted one:\n%s\n%s", redoneJSON, cleanJSON)
+			}
+			// The failure log files notes separately from failures.
+			var fl FailureLog
+			fl.Add(rep)
+			if !fl.Empty() || len(fl.Notes()) != 1 {
+				t.Fatalf("FailureLog: Empty=%v notes=%d, want true and 1", fl.Empty(), len(fl.Notes()))
+			}
+		})
+	}
+}
+
+// TestCheckpointWriteFailureDegrades: a journal write that exhausts its
+// retries follows the same policy as a store write — the job delivers and
+// the lost durability is a note, not a failure. A directory squatting on
+// the entry's name makes the publishing rename fail, even for root.
+func TestCheckpointWriteFailureDegrades(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
 	dir := t.TempDir()
 	cfg := tinyConfig(t)
-	Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir}).MustOK()
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) != 1 {
-		t.Fatalf("journal has %d files (err %v), want 1", len(ents), err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ents[0].Name()), []byte("{torn"), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, Fingerprint(cfg)+".entry"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ResetCache()
-	rep := Execute([]Job{Sim(cfg, nil)}, Options{Checkpoint: dir})
+	var got *sim.Result
+	rep := Execute([]Job{Sim(cfg, func(r *sim.Result) { got = r })}, Options{Checkpoint: dir})
 	rep.MustOK()
+	if got == nil {
+		t.Fatal("job did not deliver")
+	}
+	if len(rep.Notes) != 1 || !strings.Contains(rep.Notes[0].Err.Error(), "durability lost") {
+		t.Fatalf("Notes = %+v, want one degraded-write note", rep.Notes)
+	}
 	if cs := Cache(); cs.Resumed != 0 || cs.Misses != 1 {
-		t.Fatalf("corrupt journal entry was resumed: %+v", cs)
+		t.Fatalf("cache stats = %+v, want one execution and no resume", cs)
 	}
-	if len(rep.Notes) != 1 {
-		t.Fatalf("Notes = %+v, want exactly one for the corrupt entry", rep.Notes)
+}
+
+// TestCheckpointUnopenableFailsSimJobs: a journal directory that cannot be
+// created fails the batch's simulator jobs (nothing they compute could be
+// resumed) while function jobs still deliver.
+func TestCheckpointUnopenableFailsSimJobs(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	n := rep.Notes[0]
-	if n.Phase != "durability" || n.Err == nil || !strings.Contains(n.Err.Error(), "corrupt") {
-		t.Fatalf("note = %+v, want a durability note naming the corrupt entry", n)
+	committed := false
+	rep := Execute([]Job{Sim(tinyConfig(t), nil), Func(func() any { return 1 }, func(any) { committed = true })},
+		Options{Checkpoint: filepath.Join(file, "checkpoint")})
+	if len(rep.Failures) != 1 || rep.Failures[0].Index != 0 || !strings.Contains(rep.Failures[0].Err.Error(), "checkpoint journal") {
+		t.Fatalf("Failures = %+v, want the simulator job failed on the journal", rep.Failures)
 	}
-	// The failure log files notes separately from failures.
-	var fl FailureLog
-	fl.Add(rep)
-	if !fl.Empty() || len(fl.Notes()) != 1 {
-		t.Fatalf("FailureLog: Empty=%v notes=%d, want true and 1", fl.Empty(), len(fl.Notes()))
+	if !committed {
+		t.Fatal("function job did not deliver")
 	}
 }
 

@@ -766,17 +766,11 @@ func (s *Service) snapshotLocked(sw *sweep) Sweep {
 // restarts, so clients (and the CI kill-and-resume gate) can watch
 // durable progress.
 func (s *Service) completed(id string) int {
-	ents, err := os.ReadDir(filepath.Join(s.sweepDir(id), "checkpoint"))
+	keys, err := store.FSKeys(filepath.Join(s.sweepDir(id), "checkpoint"))
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".json") {
-			n++
-		}
-	}
-	return n
+	return len(keys)
 }
 
 // Get returns a sweep's status snapshot.

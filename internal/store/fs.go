@@ -35,12 +35,14 @@ type FS struct {
 
 // NewFS opens (creating if needed) a filesystem store rooted at dir. A
 // non-nil FaultInjector perturbs subsequent physical IO — tests and chaos
-// runs use it to force torn writes, ENOSPC and read errors.
+// runs use it to force torn writes, ENOSPC and read errors. The
+// quarantine/ subdirectory is created by the first Quarantine, so a store
+// that never saw a corrupt entry holds only entry files.
 func NewFS(dir string, faults FaultInjector) (*FS, error) {
 	if dir == "" {
 		return nil, errors.New("store: fs driver needs a directory (fs:<dir>)")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "quarantine"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: fs init: %w", err)
 	}
 	return &FS{root: dir, faults: faults}, nil
@@ -51,36 +53,24 @@ func (f *FS) Name() string { return "fs" }
 
 func (f *FS) path(key string) string { return filepath.Join(f.root, key+".entry") }
 
-// Put implements Driver: write to a unique temp name (possibly torn or
-// refused by the fault injector), fsync, rename into place, fsync the
-// parent directory so the rename itself survives power loss.
+// Put implements Driver: publish through WriteFileAtomic (unique temp name,
+// fsync, rename into place, parent-directory fsync), after the fault
+// injector has had its chance to tear or refuse the write.
 func (f *FS) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	path := f.path(key)
-	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tmpSeq.Add(1))
-
-	keep := len(data)
 	if f.faults != nil {
 		f.mu.Lock()
-		k, err := f.faults.WriteFault(len(data))
+		keep, err := f.faults.WriteFault(len(data))
 		f.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("store: fs write %s: %w: %w", key, ErrTransient, err)
 		}
-		keep = k
+		data = data[:keep]
 	}
-	if err := writeFileSync(tmp, data[:keep]); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: fs write %s: %w: %w", key, ErrTransient, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(f.path(key), data); err != nil {
 		return fmt.Errorf("store: fs publish %s: %w: %w", key, ErrTransient, err)
-	}
-	if err := syncDir(f.root); err != nil {
-		return fmt.Errorf("store: fs sync %s: %w: %w", key, ErrTransient, err)
 	}
 	return nil
 }
@@ -115,8 +105,11 @@ func (f *FS) Quarantine(key string) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	dst := filepath.Join(f.root, "quarantine",
-		fmt.Sprintf("%s.entry.%d-%d", key, os.Getpid(), tmpSeq.Add(1)))
+	qdir := filepath.Join(f.root, "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		return fmt.Errorf("store: fs quarantine %s: %w", key, err)
+	}
+	dst := filepath.Join(qdir, fmt.Sprintf("%s.entry.%d-%d", key, os.Getpid(), tmpSeq.Add(1)))
 	err := os.Rename(f.path(key), dst)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil // a concurrent reader already moved it
@@ -128,8 +121,18 @@ func (f *FS) Quarantine(key string) error {
 }
 
 // Keys implements Driver.
-func (f *FS) Keys() ([]string, error) {
-	ents, err := os.ReadDir(f.root)
+func (f *FS) Keys() ([]string, error) { return FSKeys(f.root) }
+
+// FSKeys lists, sorted, the entry keys of the fs store rooted at dir,
+// without opening the store: it creates nothing, and a missing directory
+// holds no keys. Callers that only count a store's entries (the sweep
+// service's durable progress) use it so that the on-disk entry name stays
+// private to this package.
+func FSKeys(dir string) ([]string, error) {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("store: fs list: %w", err)
 	}
@@ -185,9 +188,9 @@ func syncDir(dir string) error {
 }
 
 // WriteFileAtomic is the shared tmp + fsync + rename + dir-fsync publish
-// used by the fs driver's clean path and by the runner's checkpoint
-// journal: after it returns, the complete file is durable under path; a
-// crash at any earlier point leaves the previous content (or nothing).
+// used by the fs driver and by the sweep service's own journal files:
+// after it returns, the complete file is durable under path; a crash at
+// any earlier point leaves the previous content (or nothing).
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := fmt.Sprintf("%s.tmp-%d-%d", path, os.Getpid(), tmpSeq.Add(1))
 	if err := writeFileSync(tmp, data); err != nil {
